@@ -33,11 +33,17 @@ positions, port ranges, per-run propagation gains) never change
 afterwards.  Fault injection relaxes that with *incremental epoch
 repair*: :meth:`retire_node` / :meth:`restore_node` (node churn) and
 :meth:`set_link` (scripted link up/down) refilter only the affected
-nodes' neighbor tuples from a pristine snapshot and repartition the
-audibility groups — the O(n · k) spatial/propagation pass is never
-re-run, and a full retire → restore round trip restores every structure
-to exactly the fresh-build state (pinned by a hypothesis property in
-``tests/test_faults_churn.py``).
+nodes' neighbor tuples from a pristine snapshot, then repair the
+audibility groups locally — only the touched nodes' closed sets are
+re-keyed, only groups that gained or lost a member get their id
+re-derived, and only ranks within one hop of a rank whose group id moved
+get their busy-group tuple rebuilt.  A symmetry check over the touched
+nodes guards the merge; an asymmetric result (heterogeneous reaches)
+falls back to the full regroup.  Group ids are a pure function of the
+partition (each group's minimum rank), so the O(n · k) spatial /
+propagation pass is never re-run and a repaired index equals a fresh
+build of the same fault state id-for-id (pinned after every step by a
+hypothesis property in ``tests/test_faults_churn.py``).
 """
 
 from __future__ import annotations
@@ -135,7 +141,13 @@ class NeighborIndex:
         #: Pristine neighbor tuples, snapshotted lazily on the first
         #: retire/set_link call; None on the (common) no-fault path.
         self._pristine: dict[int, tuple[int, ...]] | None = None
+        #: Pristine reverse audibility (node → the nodes it hears),
+        #: snapshotted with ``_pristine`` and only when some link is
+        #: one-way; None means it equals ``_pristine``.
+        self._pristine_hears: dict[int, tuple[int, ...]] | None = None
         self._busy_groups: dict[int, tuple[int, ...]] = {}
+        #: Rank → audibility-group id (carrier-sense reads index this).
+        self.group_of_rank: list[int] = []
         self._rebuild_groups()
 
     def _rebuild_groups(self) -> None:
@@ -151,46 +163,48 @@ class NeighborIndex:
         deployments fall back to one singleton group per rank, which
         reproduces the historical per-rank refcounts exactly.
 
-        Runs once at construction and again after every epoch repair
-        (retirement only filters closed sets, so a symmetric deployment
-        stays symmetric); iteration order is the registration order, so a
-        repaired partition is id-for-id the one a fresh build computes.
+        A group's id is its minimum rank — a pure function of the
+        partition, so the local repair (:meth:`_repair_groups`) and this
+        full pass agree id-for-id.  Runs at construction, and on the
+        fault path whenever the local repair cannot vouch for symmetry.
         """
         members = self._members
         node_order = self._node_order
-        symmetric = all(
+        self._symmetric = all(
             node in members[other]
             for node, audible in members.items()
             for other in audible
         )
-        n = len(self.ports_by_rank)
-        busy_groups = self._busy_groups
-        busy_groups.clear()
-        if symmetric:
+        if self._symmetric:
             group_ids: dict[frozenset[int], int] = {}
-            group_of = [
-                group_ids.setdefault(frozenset(members[node] | {node}), len(group_ids))
-                for node in node_order
+            self.group_of_rank[:] = [
+                group_ids.setdefault(frozenset(members[node] | {node}), rank)
+                for rank, node in enumerate(node_order)
             ]
-            self.n_groups = len(group_ids)
-            for rank, node in enumerate(node_order):
-                # Distinct groups covering the closed audible set; a group
-                # intersecting it is wholly inside it (same closed sets),
-                # so each member port's count moves by exactly one when
-                # the group's counter does.
-                busy_groups[node] = tuple(
-                    dict.fromkeys(
-                        [group_of[rank]]
-                        + [group_of[r] for r in self._neighbor_ranks[node]]
-                    )
-                )
         else:
-            group_of = list(range(n))
-            self.n_groups = n
-            for rank, node in enumerate(node_order):
-                busy_groups[node] = (rank,) + self._neighbor_ranks[node]
-        #: Rank → audibility-group id (carrier-sense reads index this).
-        self.group_of_rank: list[int] = group_of
+            self.group_of_rank[:] = range(len(node_order))
+        busy_groups = self._busy_groups
+        for rank, node in enumerate(node_order):
+            busy_groups[node] = self._busy_groups_of(node, rank)
+
+    def _busy_groups_of(self, node: int, rank: int) -> tuple[int, ...]:
+        """Distinct groups covering ``node``'s closed audible set.
+
+        With symmetric audibility a group intersecting the closed set is
+        wholly inside it (same closed sets), so each member port's count
+        moves by exactly one when the group's counter does; singleton
+        groups (the asymmetric fallback) list the rank and every audible
+        rank, the historical per-rank increments.
+        """
+        group_of = self.group_of_rank
+        if not self._symmetric:
+            return (rank,) + self._neighbor_ranks[node]
+        return tuple(
+            dict.fromkeys(
+                [group_of[rank]]
+                + [group_of[r] for r in self._neighbor_ranks[node]]
+            )
+        )
 
     # -- epoch repair (fault injection) --------------------------------------
 
@@ -200,7 +214,28 @@ class NeighborIndex:
             # The values are the build's immutable tuples, so the snapshot
             # is one dict copy — O(n) pointers, taken once per run at most.
             pristine = self._pristine = dict(self._neighbors)
+            if not self._symmetric:
+                # One-way links: who hears a node is not who it hears, so
+                # a retirement must also reach the nodes it is audible to
+                # only in one direction.  Nothing is retired yet, so
+                # ``_symmetric`` still describes the pristine sets.
+                hears: dict[int, list[int]] = {node: [] for node in pristine}
+                for node, audible in pristine.items():
+                    for other in audible:
+                        hears[other].append(node)
+                self._pristine_hears = {
+                    node: tuple(sources) for node, sources in hears.items()
+                }
         return pristine
+
+    def _around(self, node_id: int) -> tuple[int, ...]:
+        """``node_id`` plus every pristine neighbor in either direction —
+        the nodes whose audible sets its retirement can change."""
+        audible = self._ensure_pristine()[node_id]  # KeyError if unknown
+        hears = self._pristine_hears
+        if hears is None:
+            return (node_id, *audible)
+        return (node_id, *dict.fromkeys(audible + hears[node_id]))
 
     def _link_up(self, a: int, b: int) -> bool:
         links_down = self._links_down
@@ -236,11 +271,94 @@ class NeighborIndex:
             self._neighbor_ranks[node] = tuple(rank_of[i] for i in alive)
             self._members[node] = frozenset(alive)
 
+    def _repair(self, nodes: tuple[int, ...]) -> None:
+        """Refilter ``nodes`` and repair the audibility groups around them.
+
+        A symmetric index is repaired locally (:meth:`_repair_groups`) as
+        long as the touched nodes' links stay symmetric; otherwise —
+        asymmetric before or after — the full regroup runs, exactly as a
+        fresh build would.
+        """
+        old_keys = None
+        if self._symmetric:
+            members = self._members
+            old_keys = {node: members[node] | {node} for node in nodes}
+        self._refilter(nodes)
+        if old_keys is None or not self._symmetric_around(nodes):
+            self._rebuild_groups()
+        else:
+            self._repair_groups(old_keys)
+
+    def _symmetric_around(self, nodes: tuple[int, ...]) -> bool:
+        """Whether every link touching ``nodes`` is symmetric.
+
+        Sound only when the index was symmetric before ``nodes`` were
+        refiltered: an untouched node's set is unchanged, so any node
+        that hears (or is heard by) a touched one was a pristine neighbor
+        of it, and pristine neighbors are exactly what this scans.
+        """
+        members = self._members
+        pristine = self._pristine
+        for node in nodes:
+            own = members[node]
+            for other in pristine[node]:
+                if (other in own) != (node in members[other]):
+                    return False
+        return True
+
+    def _repair_groups(self, old_keys: dict[int, frozenset[int]]) -> None:
+        """Patch group ids and busy-group tuples after ``old_keys``' nodes
+        were refiltered (``old_keys`` maps each to its former closed set).
+
+        Needs no bookkeeping beyond the neighbor sets: a group's members
+        all lie inside its closed set, so the group keyed by a closed set
+        ``K`` is the nodes of ``K`` whose own closed set is ``K``.  Only
+        the groups a re-keyed node left or joined re-derive their id (the
+        minimum rank), and only ranks within one hop of a rank whose id
+        moved — plus the re-keyed nodes themselves — rebuild their
+        busy-group tuples.
+        """
+        members = self._members
+        moved: set[int] = set()
+        regrouped: list[frozenset[int]] = []
+        for node, old_key in old_keys.items():
+            new_key = members[node] | {node}
+            if new_key != old_key:
+                moved.add(node)
+                regrouped += (old_key, new_key)
+        if not moved:
+            return
+        rank_of = self._rank_of
+        group_of = self.group_of_rank
+        node_order = self._node_order
+        stale = set(moved)
+        for key in dict.fromkeys(regrouped):
+            # |N(v) | {v}| == |key| and N(v) <= key, with v in key, means
+            # v's closed set is key — a size and a subset test, no copy.
+            size = len(key) - 1
+            ranks = [
+                rank_of[node]
+                for node in key
+                if len(members[node]) == size and members[node] <= key
+            ]
+            if not ranks:
+                continue
+            group_id = min(ranks)
+            for rank in ranks:
+                if group_of[rank] != group_id:
+                    group_of[rank] = group_id
+                    node = node_order[rank]
+                    stale.add(node)
+                    stale.update(members[node])
+        busy_groups = self._busy_groups
+        for node in stale:
+            busy_groups[node] = self._busy_groups_of(node, rank_of[node])
+
     def retire_node(self, node_id: int) -> None:
         """Take ``node_id`` off the air: scrub it from every audible set.
 
         Incremental: only the node and its pristine neighbors are
-        refiltered, then the group partition is recomputed — no spatial
+        refiltered and re-grouped (see :meth:`_repair`) — no spatial
         query or propagation call re-runs.  The medium (which owns the
         busy refcounts) replays them against the repaired groups.
 
@@ -253,11 +371,9 @@ class NeighborIndex:
         """
         if node_id in self.retired:
             raise ValueError(f"node {node_id} is already retired")
-        pristine = self._ensure_pristine()
-        touched = pristine[node_id]  # KeyError for unknown nodes
+        touched = self._around(node_id)
         self.retired.add(node_id)
-        self._refilter((node_id, *touched))
-        self._rebuild_groups()
+        self._repair(touched)
 
     def restore_node(self, node_id: int) -> None:
         """Put a retired ``node_id`` back on the air (inverse of
@@ -271,8 +387,7 @@ class NeighborIndex:
         if node_id not in self.retired:
             raise ValueError(f"node {node_id} is not retired")
         self.retired.discard(node_id)
-        self._refilter((node_id, *self._pristine[node_id]))
-        self._rebuild_groups()
+        self._repair(self._around(node_id))
 
     def set_link(self, a: int, b: int, up: bool) -> None:
         """Force the undirected ``a`` ↔ ``b`` link down (or back up).
@@ -295,8 +410,7 @@ class NeighborIndex:
             if key in self._links_down:
                 raise ValueError(f"link {key} is already down")
             self._links_down.add(key)
-        self._refilter((a, b))
-        self._rebuild_groups()
+        self._repair((a, b))
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         """Audible nodes for ``node_id``, in registration order."""

@@ -269,7 +269,9 @@ class Medium:
         self._index: NeighborIndex | None = None
         #: Per-audibility-group count of active transmissions audible at
         #: the group's ports (their own included) — the O(1) carrier-sense
-        #: read.  ``_busy_group_of`` maps a port's rank to its group.
+        #: read, indexed by group id (a group's minimum rank, so the list
+        #: has one slot per rank).  ``_busy_group_of`` maps a port's rank
+        #: to its group.
         self._busy: list[int] | None = None
         self._busy_group_of: list[int] | None = None
         #: Per-rank ``is_listening`` mirror, updated by :meth:`note_state`.
@@ -366,7 +368,7 @@ class Medium:
         # record's rank and group tuples are refreshed alongside).  Aborted
         # records are dead weight awaiting their end event and hold no
         # refcounts.
-        busy = [0] * index.n_groups
+        busy = [0] * len(index)
         for record in self._active:
             if record.aborted:
                 continue
@@ -547,7 +549,7 @@ class Medium:
         but faults are rare enough that a cold memo beats proving which
         triples survived.
         """
-        busy = [0] * index.n_groups
+        busy = [0] * len(index)
         for record in self._active:
             if record.aborted:
                 continue

@@ -40,6 +40,7 @@ from repro.faults.plan import FaultPlan
 
 if typing.TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.models.scenario import ScenarioConfig, _BuiltNetwork
+    from repro.net.routing import RoutingLike
     from repro.sim.simulator import Simulator
 
 #: Death causes recorded by the monitor.
@@ -89,6 +90,10 @@ class FaultInjector:
         self._source_by_node = {
             source.node_id: source for source in built.sources
         }
+        #: The tables the partition check searches: one per distinct
+        #: graph, since tiers built from one range have equal adjacencies
+        #: and every table is invalidated with the same dead set.
+        self._partition_tables = one_per_graph(built.route_tables.values())
         self._rng = sim.rng.stream("faults.schedule")
         self._schedule_scripted()
         self._arm_churn()
@@ -266,18 +271,14 @@ class FaultInjector:
     def _is_partitioned(self) -> bool:
         """Whether some live sender cannot reach the sink on every tier.
 
-        A dead sink partitions every live sender by definition (its
-        routing rows read unreachable).  Dead senders are skipped — a
+        Answered by :func:`senders_cut_off` — one reachability search per
+        distinct adjacency, no routing trees.  A dead sink partitions
+        every live sender by definition.  Dead senders are skipped — a
         node that cannot originate is not partitioned, just gone.
         """
         sink = self.config.sink
-        for table in self.built.route_tables.values():
-            for sender in self.built.senders:
-                if sender in self.dead:
-                    continue
-                if not table.has_route(sender, sink):
-                    return True
-        return False
+        live = [sender for sender in self.built.senders if sender not in self.dead]
+        return senders_cut_off(self._partition_tables, sink, live)
 
     # -- results ---------------------------------------------------------
 
@@ -300,3 +301,51 @@ class FaultInjector:
         out["faults.unroutable_drops"] = float(unroutable)
         out["faults.currently_dead"] = float(len(self.dead))
         return out
+
+
+def senders_cut_off(
+    tables: typing.Iterable["RoutingLike"],
+    sink: int,
+    senders: typing.Iterable[int],
+) -> bool:
+    """Whether any table has no route from some sender to ``sink``.
+
+    The same answer as ``not table.has_route(sender, sink)`` over every
+    table and sender, without building a routing tree: one unshuffled
+    search from the sink per table (:meth:`CsrGraph.reaches_all`), under
+    the table's dead mask, stopping once every sender is reached.  Exact
+    for every engine, the cost engine included, because its costs are
+    finite — a connected pair always has a min-cost route.
+    """
+    targets = [sender for sender in senders if sender != sink]
+    if not targets:
+        return False
+    for table in tables:
+        csr = table.adjacency
+        if sink not in csr or any(sender not in csr for sender in targets):
+            return True  # unknown ids have no route
+        if not csr.reaches_all(
+            csr.index(sink),
+            [csr.index(sender) for sender in targets],
+            table._dead_idx,
+        ):
+            return True
+    return False
+
+
+def one_per_graph(
+    tables: typing.Iterable["RoutingLike"],
+) -> list["RoutingLike"]:
+    """The first of ``tables`` over each distinct graph (by value).
+
+    For callers that invalidate every table with the same dead set, as
+    the injector does: their partition answers then depend only on the
+    graph, so equal graphs need one search between them.
+    """
+    kept: list["RoutingLike"] = []
+    for table in tables:
+        if not any(
+            table.adjacency.same_graph(other.adjacency) for other in kept
+        ):
+            kept.append(table)
+    return kept

@@ -199,3 +199,54 @@ class CsrGraph:
         lo, hi = self.indptr[ia], self.indptr[ia + 1]
         j = bisect.bisect_left(self.indices, ib, lo, hi)
         return j < hi and self.indices[j] == ib
+
+    def reaches_all(
+        self,
+        root: int,
+        targets: typing.Iterable[int],
+        blocked: typing.Collection[int] = (),
+    ) -> bool:
+        """Whether every index in ``targets`` connects to index ``root``
+        through nodes outside ``blocked`` (index space throughout).
+
+        One unshuffled breadth-first search that stops as soon as the
+        last target is reached — no parents, depths or rng draws, so it
+        answers a reachability question without building a routing tree.
+        ``root`` reaches itself; a blocked node (``root`` included)
+        relays nothing and is never reached.
+        """
+        pending = set(targets)
+        pending.discard(root)
+        if not pending:
+            return True
+        if root in blocked or not pending.isdisjoint(blocked):
+            return False
+        indptr, indices = self.indptr, self.indices
+        seen = bytearray(len(self.ids))
+        for i in blocked:
+            seen[i] = 1
+        seen[root] = 1
+        frontier = [root]
+        while frontier:
+            next_frontier: list[int] = []
+            for node in frontier:
+                for neighbor in indices[indptr[node] : indptr[node + 1]]:
+                    if seen[neighbor]:
+                        continue
+                    seen[neighbor] = 1
+                    if neighbor in pending:
+                        pending.discard(neighbor)
+                        if not pending:
+                            return True
+                    next_frontier.append(neighbor)
+            frontier = next_frontier
+        return False
+
+    def same_graph(self, other: "CsrGraph") -> bool:
+        """Whether ``other`` has exactly this graph's ids and edges (two
+        tiers built from one range are equal but distinct objects)."""
+        return other is self or (
+            self.ids == other.ids
+            and self.indptr == other.indptr
+            and self.indices == other.indices
+        )

@@ -104,11 +104,13 @@ class _QueryMixin:
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
-        """Drop every memoized tree and recompute against ``dead`` nodes.
+        """Recompute routes against ``dead`` nodes from now on.
 
-        ``dead`` is the full set of currently-retired node ids (not a
-        delta); an unknown id is ignored, matching how queries treat
-        unknown ids.  Dead nodes neither originate, relay, nor terminate
+        Every answer afterwards equals a fresh build's under ``dead``
+        (engines may keep memoized trees the change provably cannot
+        alter).  ``dead`` is the full set of currently-retired node ids
+        (not a delta); an unknown id is ignored, matching how queries
+        treat unknown ids.  Dead nodes neither originate, relay, nor terminate
         routes — their rows read as unreachable.  Only fault injection
         calls this, so the no-fault hot paths never see a non-empty set.
         """
@@ -478,15 +480,70 @@ class LazyRoutingTable(_QueryMixin):
     def invalidate_epoch(
         self, epoch: int, dead: typing.Iterable[int] = ()
     ) -> None:
-        """Drop every memoized tree; queries recompute them on demand.
+        """Drop the memoized trees the liveness change can alter.
 
-        Lazy engine: O(1) now, each tree re-derives its per-destination
-        rng stream on first use (identical seed, so a surviving
-        destination's tree is rebuilt bit-identically minus the dead
-        nodes).
+        Lazy engine: a dropped tree re-derives its per-destination rng
+        stream on first use (identical seed, so it is rebuilt
+        bit-identically minus the dead nodes).  A tree the change cannot
+        have touched so far is kept and resumed instead (see
+        :meth:`_tree_survives`): its prefix is exactly what a rebuild
+        would recompute, draw for draw.
         """
-        self._resolve_dead(epoch, dead)
-        self._trees.clear()
+        old_dead = self._dead_idx
+        new_dead = self._resolve_dead(epoch, dead)
+        killed = new_dead - old_dead
+        revived = old_dead - new_dead
+        if not killed and not revived:
+            return
+        trees = self._trees
+        for dst_idx in [
+            dst_idx
+            for dst_idx, tree in trees.items()
+            if not self._tree_survives(dst_idx, tree, killed, revived)
+        ]:
+            del trees[dst_idx]
+
+    def _tree_survives(
+        self,
+        dst_idx: int,
+        tree: _LazyTree,
+        killed: frozenset[int],
+        revived: frozenset[int],
+    ) -> bool:
+        """Whether ``tree`` is still a valid prefix after the liveness
+        change, updating its sentinels when it is.
+
+        A fresh build differs from the kept prefix only where the BFS has
+        already met a changed node: a node that dies matters once it has
+        been discovered (it has a parent), a node that revives once a
+        neighbor of it has been expanded (the fresh build would have
+        discovered it there).  Shuffles consume draws by slice length,
+        dead slots included, so untouched prefixes draw identically.
+        """
+        if dst_idx in killed or dst_idx in revived:
+            return False
+        parent, depth = tree.parent, tree.depth
+        if parent[dst_idx] == _DEAD:
+            return True  # still a dead destination: nothing to expand
+        for node in killed:
+            if parent[node] != -1:
+                return False
+        if revived:
+            # Nodes shallower than the frontier have been expanded.
+            frontier = tree.frontier
+            horizon = depth[frontier[0]] if frontier else len(parent)
+            csr = self.adjacency
+            indptr, indices = csr.indptr, csr.indices
+            for node in revived:
+                for j in range(indptr[node], indptr[node + 1]):
+                    neighbor = indices[j]
+                    if parent[neighbor] >= 0 and depth[neighbor] < horizon:
+                        return False
+        for node in killed:
+            parent[node] = _DEAD
+        for node in revived:
+            parent[node] = -1
+        return True
 
     def _tree(self, dst_idx: int) -> _LazyTree:
         """The (possibly partially expanded) tree state for ``dst_idx``."""
@@ -646,16 +703,35 @@ class LazyRoutingTable(_QueryMixin):
 
 
 class _CostTree:
-    """One destination's settled Dijkstra tree (cost-space sibling of
-    :class:`_LazyTree`; computed whole, as cost frontiers have no clean
-    level structure to pause between)."""
+    """Resume-able Dijkstra state for one destination's routing tree —
+    the cost-space twin of :class:`_LazyTree`.
 
-    __slots__ = ("parent", "depth", "cost")
+    A node's ``parent``/``depth``/``cost`` are final once it is
+    ``settled`` (entries of unsettled nodes are tentative, so queries
+    read only settled ones).  The pending ``heap``, the insertion
+    ``counter`` and the destination's private ``rng`` capture the whole
+    search, so it can stop right after the queried source settles and
+    resume later with exactly the settle order and shuffle draws of an
+    uninterrupted build.  ``heap`` is emptied when the reachable
+    component is exhausted — after that an unsettled node is
+    unreachable.
+    """
 
-    def __init__(self, n: int):
+    __slots__ = ("parent", "depth", "cost", "settled", "heap", "counter", "rng")
+
+    def __init__(self, n: int, dst_idx: int, rng: typing.Any):
         self.parent = [-1] * n
         self.depth = [-1] * n
         self.cost = [float("inf")] * n
+        self.settled = bytearray(n)
+        self.parent[dst_idx] = dst_idx
+        self.depth[dst_idx] = 0
+        self.cost[dst_idx] = 0.0
+        # (cost, insertion counter, node): FIFO among equal costs — the
+        # property that makes unit-cost trees BFS-identical.
+        self.heap: list[tuple[float, int, int]] = [(0.0, 0, dst_idx)]
+        self.counter = 1
+        self.rng = rng
 
 
 class DijkstraRoutingTable(_QueryMixin):
@@ -685,6 +761,14 @@ class DijkstraRoutingTable(_QueryMixin):
     the produced trees (and the rng draw sequence: one neighbor-slice
     shuffle per settled node, in settle order) are identical to the BFS
     engines'.  Energy-based costs then diverge consciously.
+
+    Like the lazy engine's BFS, each tree is searched only as far as
+    queries need (:class:`_CostTree`): a query pops the heap until its
+    source settles, so the one- and two-hop reverse routes of BCP's
+    control plane stop paying for whole-network trees after every
+    :meth:`refresh_costs`.  Costs must be finite and non-negative (the
+    policies' are): that is what lets a reachability search stand in for
+    :meth:`has_route` (see :meth:`CsrGraph.reaches_all`).
 
     ``node_factors`` are re-read on :meth:`invalidate_epoch` (so residual
     costs see post-death meters) and on :meth:`refresh_costs` (so the
@@ -750,49 +834,61 @@ class DijkstraRoutingTable(_QueryMixin):
         self._trees.clear()
 
     def _tree(self, dst_idx: int) -> _CostTree:
-        """The memoized settled tree for ``dst_idx``."""
+        """The (possibly partially settled) tree state for ``dst_idx``."""
         tree = self._trees.get(dst_idx)
-        if tree is None:
-            tree = self._compute_tree(dst_idx)
-            self._trees[dst_idx] = tree
-            self.trees_computed += 1
-        return tree
-
-    def _compute_tree(self, dst_idx: int) -> _CostTree:
+        if tree is not None:
+            return tree
         csr = self.adjacency
-        indptr, indices = csr.indptr, csr.indices
-        n = len(csr.ids)
-        edge_costs = self._edge_costs
-        factors = self._factors
-        tree = _CostTree(n)
-        parent, depth, cost = tree.parent, tree.depth, tree.cost
-        dead_idx = self._dead_idx
-        if dead_idx:
-            if dst_idx in dead_idx:
-                # Dead destination: nothing to settle, everything
-                # unreachable (mirrors the lazy engine).
-                parent[dst_idx] = _DEAD
-                return tree
-            # Same sentinel trick as the BFS engines: dead nodes never
-            # settle as relays yet still occupy their slice slots, so
-            # shuffle draw counts stay independent of liveness.
-            for i in dead_idx:
-                parent[i] = _DEAD
         rng = (
             None
             if self._tie_seed is None
             else destination_rng(self._tie_seed, csr.ids[dst_idx])
         )
-        parent[dst_idx] = dst_idx
-        depth[dst_idx] = 0
-        cost[dst_idx] = 0.0
-        settled = bytearray(n)
-        # (cost, insertion counter, node): FIFO among equal costs — the
-        # property that makes unit-cost trees BFS-identical.
-        heap: list[tuple[float, int, int]] = [(0.0, 0, dst_idx)]
-        counter = 1
+        tree = _CostTree(len(csr.ids), dst_idx, rng)
+        dead_idx = self._dead_idx
+        if dead_idx:
+            if dst_idx in dead_idx:
+                # Dead destination: nothing to settle, everything
+                # unreachable (mirrors the lazy engine).
+                tree.heap = []
+                tree.parent[dst_idx] = _DEAD
+                tree.depth[dst_idx] = -1
+                tree.cost[dst_idx] = float("inf")
+            else:
+                # Same sentinel trick as the BFS engines: dead nodes never
+                # settle as relays yet still occupy their slice slots, so
+                # shuffle draw counts stay independent of liveness.
+                parent = tree.parent
+                for i in dead_idx:
+                    parent[i] = _DEAD
+        self._trees[dst_idx] = tree
+        self.trees_computed += 1
+        return tree
+
+    def _settle(self, tree: _CostTree, target: int) -> None:
+        """Advance ``tree``'s search until ``target`` settles, the heap
+        runs dry, or — for ``target == -1`` — the component is exhausted.
+
+        Settle order and the one neighbor-slice shuffle per settled node
+        are exactly an uninterrupted build's; pausing only moves where
+        the loop stops.
+        """
+        heap = tree.heap
+        settled = tree.settled
+        parent, depth, cost = tree.parent, tree.depth, tree.cost
+        if target >= 0 and (settled[target] or parent[target] == _DEAD):
+            # Settled already, or dead: a dead source never settles, and
+            # expanding its component would be wasted work.
+            return
+        csr = self.adjacency
+        indptr, indices = csr.indptr, csr.indices
+        edge_costs = self._edge_costs
+        factors = self._factors
+        rng = tree.rng
+        counter = tree.counter
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
-            _, _, node = heapq.heappop(heap)
+            _, _, node = heappop(heap)
             if settled[node]:
                 continue  # stale entry superseded by a cheaper relaxation
             settled[node] = 1
@@ -825,8 +921,23 @@ class DijkstraRoutingTable(_QueryMixin):
                     cost[neighbor] = candidate
                     parent[neighbor] = node
                     depth[neighbor] = node_depth
-                    heapq.heappush(heap, (candidate, counter, neighbor))
+                    heappush(heap, (candidate, counter, neighbor))
                     counter += 1
+            if node == target:
+                break
+        tree.counter = counter
+
+    def _settled_tree(self, dst_idx: int, src_idx: int) -> _CostTree:
+        """The tree for ``dst_idx``, searched until ``src_idx`` settles
+        (or is proven unreachable)."""
+        tree = self._tree(dst_idx)
+        self._settle(tree, src_idx)
+        return tree
+
+    def _full_tree(self, dst_idx: int) -> _CostTree:
+        """The tree for ``dst_idx``, settled over its whole component."""
+        tree = self._tree(dst_idx)
+        self._settle(tree, -1)
         return tree
 
     def _pair_indexes(self, src: int, dst: int) -> tuple[int, int] | None:
@@ -845,7 +956,7 @@ class DijkstraRoutingTable(_QueryMixin):
         if indexes is None:
             return False
         src_idx, dst_idx = indexes
-        return self._tree(dst_idx).parent[src_idx] >= 0
+        return self._settled_tree(dst_idx, src_idx).parent[src_idx] >= 0
 
     def next_hop(self, src: int, dst: int) -> int:
         if src == dst:
@@ -856,7 +967,7 @@ class DijkstraRoutingTable(_QueryMixin):
                 f"no route from {src} to {dst} (topology epoch {self.epoch})"
             )
         src_idx, dst_idx = indexes
-        hop = self._tree(dst_idx).parent[src_idx]
+        hop = self._settled_tree(dst_idx, src_idx).parent[src_idx]
         if hop < 0:
             raise RoutingError(
                 f"no route from {src} to {dst} (topology epoch {self.epoch})"
@@ -874,7 +985,7 @@ class DijkstraRoutingTable(_QueryMixin):
                 f"no route from {src} to {dst} (topology epoch {self.epoch})"
             )
         src_idx, dst_idx = indexes
-        count = self._tree(dst_idx).depth[src_idx]
+        count = self._settled_tree(dst_idx, src_idx).depth[src_idx]
         if count < 0:
             raise RoutingError(
                 f"no route from {src} to {dst} (topology epoch {self.epoch})"
@@ -899,7 +1010,7 @@ class DijkstraRoutingTable(_QueryMixin):
                 f"no route from {src} to {dst} (topology epoch {self.epoch})"
             )
         src_idx, dst_idx = indexes
-        total = self._tree(dst_idx).cost[src_idx]
+        total = self._settled_tree(dst_idx, src_idx).cost[src_idx]
         if total == float("inf"):
             raise RoutingError(
                 f"no route from {src} to {dst} (topology epoch {self.epoch})"
@@ -915,7 +1026,7 @@ class DijkstraRoutingTable(_QueryMixin):
         csr = self.adjacency
         if sink not in csr:
             return {}
-        depth = self._tree(csr.index(sink)).depth
+        depth = self._full_tree(csr.index(sink)).depth
         return {
             node: depth[i] for i, node in enumerate(csr.ids) if depth[i] >= 0
         }

@@ -587,6 +587,65 @@ def _case_scenario_compose(
     )
 
 
+def _churn_config(
+    n: int, field_m: float, n_deaths: int, stride: int, recover_after_s=None
+):
+    """A composed collection round whose fleet dies on a scripted schedule.
+
+    ``n_deaths`` victims (never sink 0, picked with ``stride`` across the
+    id space) die evenly over 90% of a 30 s window; with
+    ``recover_after_s`` each one reboots that long after its death.
+    """
+    from repro.faults import FaultPlan
+    from repro.models.scenario import ScenarioConfig
+    from repro.topology.registry import TopologySpec
+
+    sim_time_s = 30.0
+    step = sim_time_s * 0.9 / n_deaths
+    crashes = tuple(
+        (step * (i + 1), 1 + (i * stride) % (n - 1)) for i in range(n_deaths)
+    )
+    recoveries = ()
+    if recover_after_s is not None:
+        recoveries = tuple(
+            (time_s + recover_after_s, node) for time_s, node in crashes
+        )
+    return ScenarioConfig(
+        model=MODEL_DUAL_NAME,
+        topology=TopologySpec.of(
+            "uniform-random", n=n, width_m=field_m, height_m=field_m
+        ),
+        sink=0,
+        n_senders=10,
+        rate_bps=2000.0,
+        burst_packets=100,
+        sim_time_s=sim_time_s,
+        seed=1,
+        scheduler="calendar",
+        faults=FaultPlan(crashes=crashes, recoveries=recoveries),
+    )
+
+
+def _run_churn(config) -> dict[str, float]:
+    from repro.models.scenario import run_scenario
+    from repro.perf.phases import collect_phases
+
+    with collect_phases() as timings:
+        result = run_scenario(config)
+    ops: dict[str, float] = {
+        "nodes": float(config.n_nodes),
+        "deaths": result.counters["faults.deaths"],
+        "recoveries": result.counters["faults.recoveries"],
+        "epochs": result.counters["faults.epochs"],
+        "partitioned_epochs": result.counters["faults.partitioned_epochs"],
+        "delivered_bits": result.delivered_bits,
+        "power_down_drops": result.counters["faults.power_down_drops"],
+    }
+    for name, seconds in timings.items():
+        ops[f"phase.{name}_s"] = seconds
+    return ops
+
+
 def _case_churn_1k() -> BenchCase:
     """The scenario-compose-1k deployment run *mortal*: 10% of the fleet
     dies on a scripted schedule spread across the window.
@@ -596,69 +655,39 @@ def _case_churn_1k() -> BenchCase:
     — so this case gates the cost of topology churn at scale, which no
     immortal case exercises.
     """
-
-    def setup():
-        from repro.faults import FaultPlan
-        from repro.models.scenario import ScenarioConfig
-        from repro.topology.registry import TopologySpec
-
-        n = 1000
-        sim_time_s = 30.0
-        # 100 victims spread over node ids (never sink 0), one death
-        # every ~0.27 s of simulated time: the topology is never stable
-        # for long, which is the point.
-        n_deaths = n // 10
-        step = sim_time_s * 0.9 / n_deaths
-        plan = FaultPlan(
-            crashes=tuple(
-                (step * (i + 1), 1 + (i * 9) % (n - 1))
-                for i in range(n_deaths)
-            )
-        )
-        return ScenarioConfig(
-            model=MODEL_DUAL_NAME,
-            topology=TopologySpec.of(
-                "uniform-random",
-                n=n,
-                width_m=_COMPOSE_FIELD_1K,
-                height_m=_COMPOSE_FIELD_1K,
-            ),
-            sink=0,
-            n_senders=10,
-            rate_bps=2000.0,
-            burst_packets=100,
-            sim_time_s=sim_time_s,
-            seed=1,
-            scheduler="calendar",
-            faults=plan,
-        )
-
-    def run(config):
-        from repro.models.scenario import run_scenario
-        from repro.perf.phases import collect_phases
-
-        with collect_phases() as timings:
-            result = run_scenario(config)
-        ops: dict[str, float] = {
-            "nodes": float(config.n_nodes),
-            "deaths": result.counters["faults.deaths"],
-            "epochs": result.counters["faults.epochs"],
-            "delivered_bits": result.delivered_bits,
-            "power_down_drops": result.counters["faults.power_down_drops"],
-        }
-        for name, seconds in timings.items():
-            ops[f"phase.{name}_s"] = seconds
-        return ops
-
+    # 100 victims spread over node ids, one death every ~0.27 s of
+    # simulated time: the topology is never stable for long, which is
+    # the point.
     return BenchCase(
         name="churn-1k",
         summary=(
             "mortal 1k-node collection round: 100 scripted deaths over a "
             "30 s window (fault path + epoch repair at scale)"
         ),
-        setup=setup,
-        run=run,
+        setup=lambda: _churn_config(1000, _COMPOSE_FIELD_1K, 100, 9),
+        run=_run_churn,
         repeats=2,
+    )
+
+
+def _case_churn_10k() -> BenchCase:
+    """The sim-loop-10k deployment under churn: 100 scripted deaths, each
+    victim rebooting 2.5 s later, so both retire and restore run (200
+    epochs) against a 10k-node index and 10k-node routing tables — the
+    scale at which a fault path that pays for the whole network per
+    epoch stops being affordable."""
+    return BenchCase(
+        name="churn-10k",
+        summary=(
+            "mortal 10k-node collection round: 100 scripted deaths, each "
+            "recovered 2.5 s later, over a 30 s window"
+        ),
+        setup=lambda: _churn_config(
+            10000, _COMPOSE_FIELD_10K, 100, 97, recover_after_s=2.5
+        ),
+        run=_run_churn,
+        suites=("full",),
+        repeats=1,
     )
 
 
@@ -802,6 +831,16 @@ WALL_BUDGETS = (
         case="churn-1k",
         max_wall_s=10.0,
     ),
+    # The mortal 10k-node round: 200 epochs of index repair, partition
+    # checks and routing invalidation on 10k-node structures (measured
+    # 9-15 s on a 2-vCPU Xeon VM, against 36-53 s before the fault path
+    # went incremental; the budget absorbs a 2x slower runner while
+    # catching a per-epoch cost that scales with the whole network).
+    WallBudget(
+        name="churn-10k-budget",
+        case="churn-10k",
+        max_wall_s=30.0,
+    ),
     # Three policies' worth of 1k-node collection routing (33 trees
     # each): the Dijkstra cost engine must stay in the lazy BFS engine's
     # latency class (measured well under 1 s on a dev box; the budget
@@ -841,6 +880,7 @@ def all_cases() -> tuple[BenchCase, ...]:
         _case_scenario_compose(1000, _COMPOSE_FIELD_1K),
         _case_scenario_compose(10000, _COMPOSE_FIELD_10K, suites=("full",)),
         _case_churn_1k(),
+        _case_churn_10k(),
     )
 
 

@@ -18,7 +18,13 @@ from repro.perf.bench import (
     write_report,
 )
 from repro.perf.bench import host_key, walls_comparable
-from repro.perf.suite import SUITES, BenchCase, bench_cases, ratio_gates
+from repro.perf.suite import (
+    SUITES,
+    BenchCase,
+    bench_cases,
+    ratio_gates,
+    wall_budgets,
+)
 
 
 class TestPhases:
@@ -86,6 +92,8 @@ class TestHarness:
         assert "routing-build-lazy-1k" in smoke
         assert "routing-build-lazy-5k" in smoke
         assert "fig-cell-heavy" in full - smoke
+        assert "churn-10k" in full - smoke
+        assert "churn-10k-budget" in {b.name for b in wall_budgets(full)}
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):
