@@ -59,7 +59,7 @@ from repro.models.scenario import (
     single_hop_config,
 )
 from repro.sim.events import Event, Timeout
-from repro.sim.scheduler import CalendarScheduler, HeapScheduler, Scheduler
+from repro.sim.scheduler import CalendarScheduler, HeapScheduler
 from repro.sim.simulator import Simulator
 from repro.stats.metrics import RunResult
 from repro.testbed.experiment import (
@@ -87,7 +87,6 @@ __all__ = [
     "RadioSpec",
     "RunResult",
     "ScenarioConfig",
-    "Scheduler",
     "Simulator",
     "TABLE_1",
     "Timeout",

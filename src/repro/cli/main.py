@@ -814,16 +814,6 @@ def _run_parser() -> argparse.ArgumentParser:
         "--traffic", type=str, default="cbr", help="uniform traffic source"
     )
     parser.add_argument(
-        "--routing",
-        choices=("auto", "eager", "lazy"),
-        default="auto",
-        help=(
-            "route-build engine: auto (default) switches from the eager "
-            "all-pairs table to the lazy array-backed engine beyond 256 "
-            "nodes; eager/lazy force one"
-        ),
-    )
-    parser.add_argument(
         "--routing-policy",
         choices=ROUTING_POLICY_NAMES,
         default="hops",
@@ -836,7 +826,7 @@ def _run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--mac-engine",
-        choices=("flat", "generator"),
+        choices=MAC_ENGINES,
         default="flat",
         help=(
             "MAC send-path engine: flat (default, callback state machine "
@@ -846,7 +836,7 @@ def _run_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scheduler",
-        choices=("heap", "calendar"),
+        choices=SCHEDULER_MODES,
         default="heap",
         help=(
             "simulator agenda backend: heap (default) or calendar, which "
@@ -977,7 +967,6 @@ def _run_config(args: argparse.Namespace) -> ScenarioConfig:
             seed=args.seed,
             traffic=args.traffic,
             high_radios=high_radios,
-            routing=args.routing,
             routing_policy=args.routing_policy,
             scheduler=args.scheduler,
             mac_engine=args.mac_engine,

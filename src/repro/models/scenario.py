@@ -27,10 +27,10 @@ plain config data — hashable, cacheable and sweepable like any other cell:
 * ``traffic`` / ``traffic_mix`` — registry names from
   :mod:`repro.traffic.registry`; the mix overrides the uniform choice per
   sender (e.g. a few audio nodes among CBR ones).
-* ``routing`` — the route-build engine: ``auto`` (default) keeps the
-  paper's eager all-pairs table up to :data:`LAZY_ROUTING_THRESHOLD`
-  nodes and switches to the lazy array-backed engine beyond it (see
-  :mod:`repro.net.routing`); ``eager``/``lazy`` force one.
+
+Min-hop routing builds every tree up front (the eager engine) up to
+:data:`LAZY_ROUTING_THRESHOLD` nodes and switches to lazy per-destination
+trees beyond it (see :mod:`repro.net.routing`).
 
 Paper defaults (Section 4.1): 200×200 m² grid of 36 nodes, 5000 s runs,
 32 B sensor packets, 1024 B 802.11 packets, buffer 5000 × 32 B, burst
@@ -139,17 +139,16 @@ PAPER_BURST_SIZES = (10, 100, 500, 1000, 2500)
 #: The sender counts on the figures' x axes.
 PAPER_SENDER_COUNTS = (5, 10, 15, 20, 25, 30, 35)
 
-#: Deployment size above which ``routing="auto"`` switches to the lazy
-#: array-backed engine.  Below it the historical eager engine is kept:
-#: its threaded rng tie-breaking is what every pinned golden digest
-#: encodes, and at paper scale (36 nodes) the build cost is negligible.
-#: Above it the eager all-pairs build is the O(n²) wall, and the lazy
-#: engine's per-destination tie-breaking (order-independent, documented
-#: in :mod:`repro.net.routing`) takes over.
+#: Deployment size above which min-hop routing grows trees lazily.  At or
+#: below it every tree is grown at construction with the rng threaded
+#: across destinations: that tie-breaking is what every pinned golden
+#: digest encodes, and at paper scale (36 nodes) the build cost is
+#: negligible.  Above it growing all n trees is the O(n²) wall, and
+#: per-destination tie-breaking (order-independent, documented in
+#: :mod:`repro.net.routing`) lets queries grow only the trees they need.
+#: The size is the only engine selector, so the engine needs no config
+#: field (or cache-key entry) of its own.
 LAZY_ROUTING_THRESHOLD = 256
-
-#: Routing engine selectors accepted by :attr:`ScenarioConfig.routing`.
-ROUTING_MODES = ("auto", ENGINE_EAGER, ENGINE_LAZY)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -239,19 +238,10 @@ class ScenarioConfig:
     #: Per-sender traffic overrides ``(node_id, source_name)``; unlisted
     #: senders use ``traffic``.
     traffic_mix: tuple[tuple[int, str], ...] = ()
-    #: Routing engine: ``"auto"`` picks eager below
-    #: :data:`LAZY_ROUTING_THRESHOLD` nodes and lazy above; ``"eager"`` /
-    #: ``"lazy"`` force one.  Part of the cell's cached identity because
-    #: the engines' seeded tie-break schemes differ (see
-    #: :mod:`repro.net.routing`).
-    routing: str = "auto"
     #: Route metric (:data:`repro.net.policy.ROUTING_POLICIES`): ``"hops"``
     #: (default) keeps the BFS engines and every pinned golden digest
     #: byte-identical; ``"tx-energy"`` / ``"residual-energy"`` route over
-    #: the Dijkstra cost engine and consciously diverge.  Unlike
-    #: ``routing`` (an engine choice with identical routes), the policy
-    #: changes *which* routes are taken, so it is part of the cached
-    #: identity in the strongest sense.
+    #: the Dijkstra cost engine and consciously diverge.
     routing_policy: str = POLICY_HOPS
     #: Simulator agenda backend (:data:`repro.sim.scheduler.SCHEDULER_MODES`):
     #: ``"heap"`` is the historical default, ``"calendar"`` batches
@@ -279,11 +269,6 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.model not in (MODEL_SENSOR, MODEL_WIFI, MODEL_DUAL):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.routing not in ROUTING_MODES:
-            raise ValueError(
-                f"unknown routing engine {self.routing!r}; "
-                f"expected one of {ROUTING_MODES}"
-            )
         if self.routing_policy not in ROUTING_POLICIES:
             raise ValueError(
                 f"unknown routing policy {self.routing_policy!r}; "
@@ -386,9 +371,7 @@ class ScenarioConfig:
         return self.traffic
 
     def routing_engine(self) -> str:
-        """The resolved routing engine name (``"eager"`` or ``"lazy"``)."""
-        if self.routing != "auto":
-            return self.routing
+        """The min-hop routing engine name (``"eager"`` or ``"lazy"``)."""
         if self.n_nodes > LAZY_ROUTING_THRESHOLD:
             return ENGINE_LAZY
         return ENGINE_EAGER

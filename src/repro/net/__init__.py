@@ -28,7 +28,6 @@ from repro.net.routing import (
     RoutingLike,
     RoutingTable,
     build_routing,
-    tree_depths,
 )
 from repro.net.shortcut import ShortcutLearner
 
@@ -57,5 +56,4 @@ __all__ = [
     "build_routing",
     "format_eui48",
     "format_short_address",
-    "tree_depths",
 ]

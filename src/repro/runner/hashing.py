@@ -48,7 +48,11 @@ import typing
 #: ``"hops"`` default with an empty ladder is byte-identical (golden
 #: digests unchanged), but both fields widen every config key, so
 #: pre-policy keys are retired wholesale.
-CACHE_SCHEMA_VERSION = 8
+#: v9: ScenarioConfig lost the ``routing`` engine selector; the engine
+#: follows from the deployment size alone.  Results are byte-identical
+#: (golden digests unchanged), but the field left every config key, so
+#: v8 keys are retired wholesale.
+CACHE_SCHEMA_VERSION = 9
 
 
 def _canonicalize(value: typing.Any) -> typing.Any:

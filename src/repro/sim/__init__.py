@@ -5,8 +5,8 @@ paper evaluated BCP in an (unnamed) network simulator; since no off-line DES
 library is available here, the kernel is implemented from scratch:
 
 * :class:`Simulator` — clock, agenda, run loop.
-* :class:`Scheduler` protocol with :class:`HeapScheduler` /
-  :class:`CalendarScheduler` — pluggable agenda backends.
+* :class:`HeapScheduler` / :class:`CalendarScheduler` — the named agenda
+  backends.
 * :class:`Event`, :class:`Timeout`, :class:`AnyOf`, :class:`AllOf` — the
   waitable primitives.
 * :class:`Process` — generator-based active entities.
@@ -34,7 +34,6 @@ from repro.sim.scheduler import (
     SCHEDULERS,
     CalendarScheduler,
     HeapScheduler,
-    Scheduler,
     build_scheduler,
 )
 from repro.sim.simulator import Simulator
@@ -55,7 +54,6 @@ __all__ = [
     "Process",
     "RngRegistry",
     "SCHEDULERS",
-    "Scheduler",
     "SimulationError",
     "Simulator",
     "StopSimulation",

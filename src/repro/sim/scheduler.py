@@ -1,9 +1,9 @@
-"""Pluggable agenda backends for the simulator.
+"""Named agenda backends for the simulator.
 
 The simulator's agenda used to be a binary heap hard-wired into
-:class:`~repro.sim.simulator.Simulator`.  This module makes the agenda a
-swappable *scheduler* behind a small protocol, so the kernel's run loop
-can be tuned per workload without touching model code:
+:class:`~repro.sim.simulator.Simulator`.  This module offers two named
+*schedulers* (:data:`SCHEDULERS`), each with a run loop in the kernel
+that inlines its internals:
 
 * :class:`HeapScheduler` — the historical ``heapq`` agenda.  Default, and
   the reference for ordering semantics: every pinned golden digest was
@@ -16,9 +16,9 @@ can be tuned per workload without touching model code:
   per event.  The simulator's run loop exploits the same structure to
   dispatch whole same-timestamp batches without re-consulting the heap.
 
-Scheduler protocol
-------------------
-A scheduler is any object with:
+Backend contract
+----------------
+Both backends provide:
 
 ``push(when, priority, event)``
     Insert ``event`` at absolute time ``when`` with ``priority``
@@ -66,18 +66,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _QueueItem = tuple[float, int, int, "Event"]
 
 _INFINITY = float("inf")
-
-
-class Scheduler(typing.Protocol):
-    """Structural type of an agenda backend (see module docstring)."""
-
-    def push(self, when: float, priority: int, event: "Event") -> None: ...
-
-    def pop(self) -> tuple[float, "Event"]: ...
-
-    def peek(self) -> float: ...
-
-    def __len__(self) -> int: ...
 
 
 class HeapScheduler:
@@ -225,31 +213,15 @@ SCHEDULERS: dict[str, typing.Callable[[], typing.Any]] = {
 SCHEDULER_MODES = tuple(SCHEDULERS)
 
 
-def build_scheduler(spec: object = "heap") -> typing.Any:
-    """Resolve ``spec`` into a scheduler instance.
-
-    ``spec`` may be a registry name (``"heap"``, ``"calendar"``), an
-    object already satisfying the :class:`Scheduler` protocol (passed
-    through — bring-your-own backend), or ``None`` (the default heap).
-    """
-    if spec is None:
+def build_scheduler(
+    name: str | None = "heap",
+) -> HeapScheduler | CalendarScheduler:
+    """A fresh scheduler for registry ``name`` (``None`` = the heap)."""
+    if name is None:
         return HeapScheduler()
-    if isinstance(spec, str):
-        factory = SCHEDULERS.get(spec)
-        if factory is None:
-            raise ValueError(
-                f"unknown scheduler {spec!r}; "
-                f"expected one of {SCHEDULER_MODES} or a Scheduler instance"
-            )
-        return factory()
-    missing = [
-        name
-        for name in ("push", "pop", "peek", "__len__")
-        if not hasattr(spec, name)
-    ]
-    if missing:
-        raise TypeError(
-            f"{spec!r} does not satisfy the Scheduler protocol "
-            f"(missing {', '.join(missing)})"
+    factory = SCHEDULERS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown scheduler {name!r}; expected one of {SCHEDULER_MODES}"
         )
-    return spec
+    return factory()

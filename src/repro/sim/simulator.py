@@ -6,7 +6,7 @@ total and deterministic (ties at the same time and priority process in
 insertion order).  All model code — radios, MACs, BCP — runs inside event
 callbacks or generator processes driven by this loop.
 
-The agenda itself is a pluggable backend (see :mod:`repro.sim.scheduler`):
+The agenda itself is a named backend (see :mod:`repro.sim.scheduler`):
 ``scheduler="heap"`` keeps the historical binary heap — the byte-identity
 reference every golden digest was recorded against — while
 ``scheduler="calendar"`` buckets events by exact timestamp so the run
@@ -52,8 +52,6 @@ from repro.sim.scheduler import (
 #: drains at once, and keeping it small bounds worst-case retained memory.
 _POOL_MAX = 1024
 
-_INFINITY = float("inf")
-
 
 class Simulator:
     """A deterministic discrete-event simulator.
@@ -67,9 +65,8 @@ class Simulator:
     scheduler:
         Agenda backend: a name from
         :data:`repro.sim.scheduler.SCHEDULERS` (``"heap"`` — default —
-        or ``"calendar"``) or any object satisfying the
-        :class:`~repro.sim.scheduler.Scheduler` protocol.  Every backend
-        produces byte-identical traces; pick by workload shape.
+        or ``"calendar"``).  Both backends produce byte-identical
+        traces.
 
     Examples
     --------
@@ -99,7 +96,7 @@ class Simulator:
         "_pool",
     )
 
-    def __init__(self, seed: int = 0, scheduler: object = "heap"):
+    def __init__(self, seed: int = 0, scheduler: str = "heap"):
         self._now = 0.0
         self._scheduler = build_scheduler(scheduler)
         # Bound once: the push is on the hot path of every enqueue.
@@ -303,9 +300,7 @@ class Simulator:
         scheduler = self._scheduler
         if type(scheduler) is CalendarScheduler:
             return self._run_calendar(until)
-        if type(scheduler) is HeapScheduler:
-            return self._run_heap(until)
-        return self._run_generic(until)
+        return self._run_heap(until)
 
     def _run_until_event(self, until: Event) -> object:
         """``run(until=<event>)``: drive the loop until ``until`` processes."""
@@ -493,36 +488,6 @@ class Simulator:
             self.events_processed += processed
             self.events_cancelled += cancelled
             del pool[_POOL_MAX:]
-        if horizon is not None:
-            self._now = max(self._now, horizon)
-        return None
-
-    def _run_generic(self, until: float | None) -> None:
-        """Protocol-only loop for bring-your-own scheduler backends."""
-        horizon = self._check_horizon(until)
-        scheduler = self._scheduler
-        while True:
-            when = scheduler.peek()
-            if when == _INFINITY or (horizon is not None and when > horizon):
-                break
-            try:
-                when, event = scheduler.pop()
-            except IndexError:  # pragma: no cover - peek/pop race-free here
-                break
-            if event._cancelled:
-                self.events_cancelled += 1
-                continue
-            self._now = when
-            self.events_processed += 1
-            callbacks, event.callbacks = event.callbacks, None
-            event._processed = True
-            try:
-                for callback in callbacks:
-                    callback(event)
-            except StopSimulation:
-                return None
-            if not event._ok and not event._defused:
-                raise typing.cast(BaseException, event._value)
         if horizon is not None:
             self._now = max(self._now, horizon)
         return None

@@ -115,7 +115,6 @@ class TestScenarioFieldSensitivity:
         "propagation": PropagationSpec.of("log-normal", sigma_db=4.0),
         "high_radios": RadioAssignment(overrides=((0, "Cabletron"),)),
         "traffic_mix": ((1, "poisson"),),
-        "routing": "lazy",
         "routing_policy": "tx-energy",
         "scheduler": "calendar",
         "mac_engine": "generator",

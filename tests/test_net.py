@@ -10,7 +10,7 @@ from repro.net.addressing import (
     format_short_address,
 )
 from repro.net.packets import DataPacket
-from repro.net.routing import RoutingError, build_routing, tree_depths
+from repro.net.routing import RoutingError, build_routing
 from repro.net.shortcut import ShortcutLearner
 from repro.topology import grid_layout, line_layout
 
@@ -130,7 +130,7 @@ class TestRouting:
         assert table.hops(35, 0) == 1
 
     def test_tree_depths(self):
-        depths = tree_depths(build_routing(grid_layout(3, 3, 40.0), 40.0), 0)
+        depths = build_routing(grid_layout(3, 3, 40.0), 40.0).depths_to(0)
         assert depths[0] == 0
         assert depths[8] == 4  # manhattan distance in hops
 

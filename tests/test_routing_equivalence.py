@@ -1,26 +1,28 @@
-"""Property tests: the lazy and eager routing engines are equivalent.
+"""Property tests: the routing engines are equivalent.
 
-The contract (ISSUE 4): for grid, uniform-random and clustered
-deployments, in both tie-break modes, the two engines agree on next-hop
-and hop-count for every reachable pair — and the lazy engine's answers do
-not depend on the order destinations are first queried in.
+The contract: for grid, uniform-random and clustered deployments, in
+both tie-break modes, the lazy engine agrees with an eager reference on
+next-hop and hop-count for every reachable pair — and its answers do not
+depend on the order destinations are first queried in.
 
-The seeded-rng comparison uses the shared *per-destination* tie-break
-scheme (``RoutingTable(..., tie_break="per-destination")``), the only
-seeded scheme that is computable lazily; the eager default ``threaded``
-scheme stays pinned separately by the golden digests
-(tests/test_determinism.py).  Against ``threaded`` we still assert
+The reference is :class:`EagerOracle` below: a plain per-destination BFS
+over the networkx graph that builds every tree up front, breaking ties
+with the same per-destination streams (:func:`destination_rng`) the
+lazy engine uses — the only seeded scheme that is computable lazily.
+The production :class:`RoutingTable`'s ``threaded`` scheme stays pinned
+separately (tests/test_routing_pinned_trees.py and the golden digests in
+tests/test_determinism.py).  Against ``threaded`` we still assert
 hop-count equality: tie-breaking chooses *which* shortest path, never its
 length.
 
-PR 10 adds a third engine — :class:`DijkstraRoutingTable`, the cost
-engine behind the routing policies — whose contract is stronger than
-shortest-path agreement: under **unit edge costs** its trees must be
-*draw-for-draw identical* to the BFS engines' (FIFO heap order == BFS
-frontier order; one shuffle per settled node).  That exact equivalence is
-what lets the policy machinery ship without re-pinning a single
-``policy="hops"`` golden digest, so it gets its own property tests here,
-including through an ``invalidate_epoch`` after node deaths.
+:class:`DijkstraRoutingTable`, the cost engine behind the routing
+policies, has a stronger contract than shortest-path agreement: under
+**unit edge costs** its trees must be *draw-for-draw identical* to the
+BFS ones (FIFO heap order == BFS frontier order; one shuffle per settled
+node).  That exact equivalence is what lets the policy machinery ship
+without re-pinning a single ``policy="hops"`` golden digest, so it gets
+its own property tests here, including through an ``invalidate_epoch``
+after node deaths.
 """
 
 import random
@@ -33,6 +35,7 @@ from repro.net.routing import (
     DijkstraRoutingTable,
     LazyRoutingTable,
     RoutingTable,
+    destination_rng,
 )
 from repro.topology.layout import clustered_layout, grid_layout, random_layout
 
@@ -50,6 +53,45 @@ def _make_layout(kind: str, size: int, seed: int):
     )
 
 
+class EagerOracle:
+    """Every destination's BFS tree, built up front over a networkx graph.
+
+    Ties break by lowest neighbor id, or — given a rng — by one 64-bit
+    seed drawn from it and a per-destination stream derived from that
+    seed, shuffling each visited node's sorted neighbor list.
+    """
+
+    def __init__(self, graph, rng=None):
+        seed = None if rng is None else rng.getrandbits(64)
+        self.parent, self.depth = {}, {}
+        for dst in sorted(graph.nodes):
+            tie = None if seed is None else destination_rng(seed, dst)
+            parent, depth = {dst: dst}, {dst: 0}
+            frontier = [dst]
+            while frontier:
+                next_frontier = []
+                for node in frontier:
+                    order = sorted(graph.neighbors(node))
+                    if tie is not None:
+                        tie.shuffle(order)
+                    for neighbor in order:
+                        if neighbor not in parent:
+                            parent[neighbor] = node
+                            depth[neighbor] = depth[node] + 1
+                            next_frontier.append(neighbor)
+                frontier = next_frontier
+            self.parent[dst], self.depth[dst] = parent, depth
+
+    def has_route(self, src, dst):
+        return src in self.parent[dst]
+
+    def hops(self, src, dst):
+        return self.depth[dst][src]
+
+    def next_hop(self, src, dst):
+        return self.parent[dst][src]
+
+
 topology_kinds = st.sampled_from(["grid", "uniform-random", "clustered"])
 sizes = st.integers(min_value=6, max_value=36)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -60,12 +102,10 @@ def _engines(kind, size, seed, mode):
     layout = _make_layout(kind, size, seed)
     graph = layout.graph(RANGE_M)
     if mode == "sorted":
-        eager = RoutingTable(graph)
+        eager = EagerOracle(graph)
         lazy = LazyRoutingTable(CsrGraph.from_layout(layout, RANGE_M))
     else:
-        eager = RoutingTable(
-            graph, rng=random.Random(seed), tie_break="per-destination"
-        )
+        eager = EagerOracle(graph, rng=random.Random(seed))
         lazy = LazyRoutingTable(
             CsrGraph.from_layout(layout, RANGE_M), rng=random.Random(seed)
         )
@@ -154,7 +194,7 @@ def _assert_same_routes(layout, reference, dijkstra, pair_seed=0):
 @given(kind=topology_kinds, size=sizes, seed=seeds, mode=modes)
 @settings(max_examples=40, deadline=None)
 def test_dijkstra_unit_costs_reproduce_bfs_trees(kind, size, seed, mode):
-    """Unit-cost Dijkstra == lazy BFS == per-destination eager, exactly."""
+    """Unit-cost Dijkstra == lazy BFS == the eager oracle, exactly."""
     layout, eager, lazy = _engines(kind, size, seed, mode)
     dijkstra = _dijkstra(layout, seed=None if mode == "sorted" else seed)
     _assert_same_routes(layout, lazy, dijkstra, pair_seed=seed)

@@ -11,7 +11,6 @@ from repro.net.routing import (
     RoutingError,
     RoutingTable,
     build_routing,
-    tree_depths,
 )
 from repro.topology.layout import (
     Layout,
@@ -229,7 +228,7 @@ class TestLazyRoutingTable:
         layout = grid_layout(4, 5, 40.0)
         eager = build_routing(layout, 40.0)
         lazy = build_routing(layout, 40.0, engine="lazy")
-        assert tree_depths(lazy, 0) == tree_depths(eager, 0)
+        assert lazy.depths_to(0) == eager.depths_to(0)
 
     def test_has_edge_and_len(self):
         layout = line_layout(4, 40.0)
@@ -241,19 +240,11 @@ class TestLazyRoutingTable:
         with pytest.raises(ValueError, match="unknown routing engine"):
             build_routing(line_layout(3), 40.0, engine="speculative")
 
-    def test_unknown_tie_break_rejected(self):
-        graph = line_layout(3).graph(40.0)
-        with pytest.raises(ValueError, match="unknown tie_break"):
-            RoutingTable(graph, tie_break="coin-flip")
 
 
 class TestScenarioEngineSelection:
     def test_paper_grid_resolves_eager(self):
         assert ScenarioConfig().routing_engine() == "eager"
-
-    def test_forced_engines(self):
-        assert ScenarioConfig(routing="lazy").routing_engine() == "lazy"
-        assert ScenarioConfig(routing="eager").routing_engine() == "eager"
 
     def test_auto_switches_above_threshold(self):
         from repro.topology.registry import TopologySpec
@@ -267,20 +258,14 @@ class TestScenarioEngineSelection:
         )
         assert config.routing_engine() == "lazy"
 
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown routing engine"):
-            ScenarioConfig(routing="bogus")
+    def test_lazy_scenario_runs_end_to_end(self, monkeypatch):
+        from repro.models import scenario
 
-    def test_lazy_scenario_runs_end_to_end(self):
-        from repro.models.scenario import run_scenario
-
-        result = run_scenario(
-            ScenarioConfig(
-                routing="lazy",
-                n_senders=5,
-                rate_bps=2000.0,
-                burst_packets=10,
-                sim_time_s=30.0,
-            )
+        # Lower the threshold so the paper grid takes the lazy engine.
+        monkeypatch.setattr(scenario, "LAZY_ROUTING_THRESHOLD", 10)
+        config = ScenarioConfig(
+            n_senders=5, rate_bps=2000.0, burst_packets=10, sim_time_s=30.0
         )
+        assert config.routing_engine() == "lazy"
+        result = scenario.run_scenario(config)
         assert result.delivered_bits > 0

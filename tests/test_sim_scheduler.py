@@ -1,4 +1,4 @@
-"""Scheduler protocol conformance, cancellation, and the timeout free-list."""
+"""Scheduler backend conformance, cancellation, and the timeout free-list."""
 
 import pytest
 
@@ -130,54 +130,6 @@ class TestBuildScheduler:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
             build_scheduler("splay-tree")
-
-    def test_instance_passes_through(self):
-        backend = CalendarScheduler()
-        assert build_scheduler(backend) is backend
-
-    def test_non_scheduler_object_raises(self):
-        with pytest.raises(TypeError, match="Scheduler protocol"):
-            build_scheduler(object())
-
-
-class _RecordingScheduler(HeapScheduler):
-    """A bring-your-own backend: drives the generic (protocol-only) loop."""
-
-    def __init__(self):
-        super().__init__()
-        self.pushes = 0
-
-    def push(self, when, priority, event):
-        self.pushes += 1
-        super().push(when, priority, event)
-
-
-class TestCustomScheduler:
-    def test_simulator_runs_on_custom_backend(self):
-        backend = _RecordingScheduler()
-        sim = Simulator(seed=1, scheduler=backend)
-        assert sim.scheduler is backend
-        fired = []
-
-        def proc():
-            yield sim.timeout(1.0)
-            fired.append(sim.now)
-            yield sim.timeout(2.0)
-            fired.append(sim.now)
-
-        sim.process(proc())
-        sim.run()
-        assert fired == [1.0, 3.0]
-        assert backend.pushes > 0
-
-    def test_custom_backend_honors_horizon(self):
-        sim = Simulator(seed=1, scheduler=_RecordingScheduler())
-        fired = []
-        sim.call_later(1.0, lambda: fired.append(1))
-        sim.call_later(5.0, lambda: fired.append(5))
-        sim.run(until=2.0)
-        assert fired == [1]
-        assert sim.now == 2.0
 
 
 @pytest.fixture(params=["heap", "calendar"])
